@@ -37,18 +37,13 @@ def databank_1200():
 
 @pytest.fixture(scope="session")
 def databank_150():
-    """Small databank for the quadratic self-join query (ex4.6)."""
+    """Small databank for the session-cache and telemetry benches."""
     return scaled_databank(scaled(150, floor=60))
 
 
 @pytest.fixture(scope="session")
 def engine_1200(databank_1200):
     return bench_engine(databank_1200)
-
-
-@pytest.fixture(scope="session")
-def engine_150(databank_150):
-    return bench_engine(databank_150)
 
 
 @pytest.fixture(scope="session")

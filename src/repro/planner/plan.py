@@ -13,8 +13,9 @@ import copy
 from dataclasses import dataclass, field
 
 from ..relational import ast
+from ..relational.render import render_expr
 from .cost import CostModel
-from .estimate import predicate_selectivity
+from .estimate import DEFAULT_SELECTIVITY, predicate_selectivity
 from .explain import OperatorNode
 from .joins import (BaseRelation, JoinPredicate, build_join_tree,
                     classify_equi, estimate_query_rows, flatten_inner_joins,
@@ -124,12 +125,21 @@ def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                planned: PlannedStatement) -> OperatorNode:
     if options.fold_constants:
         _fold_core(core)
-    _plan_expression_subqueries(core, catalog, stats, options, planned)
+    subquery_roots = _plan_expression_subqueries(core, catalog, stats,
+                                                 options, planned)
 
     if core.from_clause is None:
         return OperatorNode("values", "no FROM", est_rows=1.0)
 
+    _rest, probes = ast.split_subquery_filters(core.where)
+    # Statistics lookup taken before planning rewrites the leaves into
+    # pushdown wrappers (which carry no statistics).
+    resolve = (_leaf_resolver(from_leaves(core.from_clause), catalog,
+                              stats)[1] if probes else None)
     node = _plan_from(core, query, catalog, stats, options, planned)
+    if probes:
+        node = _plan_where_probes(core, node, subquery_roots, resolve,
+                                  catalog, stats, planned)
 
     if bool(core.group_by) or core.having is not None or core.distinct:
         label = "group by" if core.group_by else (
@@ -155,21 +165,115 @@ def _fold_core(core: ast.SelectCore) -> None:
 
 
 def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,
-                                options, planned) -> None:
+                                options, planned) -> dict[int, OperatorNode]:
     """Recursively plan subqueries embedded in expressions (the WHERE
-    rewrites of the SESQL pipeline inject exactly these)."""
+    rewrites of the SESQL pipeline inject exactly these); returns each
+    subquery's operator tree keyed by the id of its expression node."""
     roots: list[ast.Expr] = [item.expr for item in core.items
                              if not item.is_star]
     if core.where is not None:
         roots.append(core.where)
     if core.having is not None:
         roots.append(core.having)
+    planned_roots: dict[int, OperatorNode] = {}
     for root in roots:
         for node in ast.walk_expr(root):
             if isinstance(node, (ast.InSubquery, ast.Exists,
                                  ast.ScalarSubquery)) \
                     and node.query is not None:
-                _plan_query(node.query, catalog, stats, options, planned)
+                planned_roots[id(node)] = _plan_query(
+                    node.query, catalog, stats, options, planned)
+    return planned_roots
+
+
+def _leaf_resolver(leaves: list[ast.TableExpr], catalog, stats):
+    """``(binding_columns, resolve)`` over FROM leaves: each binding's
+    column names and the column statistics lookup."""
+    binding_columns = {binding_of(leaf): output_columns(leaf, catalog)
+                       for leaf in leaves}
+    binding_stats = {binding_of(leaf): _leaf_stats(leaf, stats)
+                     for leaf in leaves}
+    return binding_columns, make_resolver(binding_stats, binding_columns)
+
+
+def _plan_where_probes(core: ast.SelectCore, node: OperatorNode,
+                       subquery_roots: dict[int, OperatorNode], resolve,
+                       catalog, stats,
+                       planned: PlannedStatement) -> OperatorNode:
+    """Stack one operator per top-level EXISTS / IN conjunct above the
+    filter of the core's other WHERE conjuncts, the order the executor
+    applies them in: a ``semi-join`` (``anti-join`` under NOT), which
+    the executor turns back into a ``filter`` when the subquery is not
+    eligible for its hash probe and re-runs per row."""
+    rest, probes = ast.split_subquery_filters(core.where)
+    filter_node = planned.annotations.get(id(core))
+    if filter_node is not None and filter_node is node:
+        if rest is None:
+            del planned.annotations[id(core)]
+            node = node.children[0]
+        elif node.children[0].est_rows is not None:
+            node.est_rows = node.children[0].est_rows * max(
+                predicate_selectivity(rest, resolve), 0.0005)
+    for conjunct in probes:
+        subquery, negated = ast.subquery_predicate(conjunct)
+        if isinstance(subquery, ast.Exists):
+            label = "NOT EXISTS" if negated else "EXISTS"
+        else:
+            label = render_expr(subquery.operand) + (
+                " NOT IN" if negated else " IN")
+        est = None
+        if node.est_rows is not None:
+            fraction = _probe_selectivity(subquery, resolve, catalog, stats)
+            est = node.est_rows * max(
+                1.0 - fraction if negated else fraction, 0.0005)
+        children = [node]
+        root = subquery_roots.get(id(subquery))
+        if root is not None:
+            children.append(root.children[0] if root.children else root)
+        node = OperatorNode("anti-join" if negated else "semi-join", label,
+                            est_rows=est, children=children)
+        planned.annotations[id(subquery.query)] = node
+    return node
+
+
+def _probe_selectivity(subquery, resolve, catalog, stats) -> float:
+    """Fraction of outer rows an EXISTS / IN subquery keeps: for each
+    ``inner = outer`` column pair, ``distinct(inner) / distinct(outer)``
+    (capped at 1) from the statistics catalog, with the inner relation's
+    row count standing in for an unanalyzed inner column."""
+    query = subquery.query
+    core = query.core
+    if query.is_compound or core.from_clause is None:
+        return DEFAULT_SELECTIVITY
+    leaves = from_leaves(core.from_clause)
+    inner_columns, inner_resolve = _leaf_resolver(leaves, catalog, stats)
+    inner_rows = 1.0
+    for leaf in leaves:
+        inner_rows *= _relation_raw_rows(leaf, catalog, stats)
+    pairs = []  # (inner, outer); an IN operand is always outer
+    if isinstance(subquery, ast.InSubquery) and len(core.items) == 1:
+        pairs.append((core.items[0].expr, subquery.operand))
+    for conjunct in ast.conjuncts(core.where):
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+            for inner_ref, outer_ref in ((conjunct.left, conjunct.right),
+                                         (conjunct.right, conjunct.left)):
+                if referenced_bindings(outer_ref, inner_columns) is None:
+                    pairs.append((inner_ref, outer_ref))
+    fraction = None
+    for inner_ref, outer_ref in pairs:
+        if not (isinstance(inner_ref, ast.ColumnRef)
+                and isinstance(outer_ref, ast.ColumnRef)
+                and referenced_bindings(inner_ref, inner_columns)):
+            continue
+        outer = resolve(outer_ref)
+        if outer is None or outer.distinct <= 0:
+            continue
+        inner = inner_resolve(inner_ref)
+        inner_distinct = (inner.distinct if inner is not None
+                          and inner.distinct > 0 else inner_rows)
+        fraction = (fraction or 1.0) * min(inner_distinct / outer.distinct,
+                                           1.0)
+    return DEFAULT_SELECTIVITY if fraction is None else fraction
 
 
 def _has_ordinals(exprs) -> bool:

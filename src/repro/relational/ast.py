@@ -464,3 +464,33 @@ def conjoin(parts: list[Expr]) -> Optional[Expr]:
     for part in parts:
         result = part if result is None else BinaryOp("AND", result, part)
     return result
+
+
+def subquery_predicate(
+        expr: Expr) -> Optional[tuple[Union[Exists, InSubquery], bool]]:
+    """``(node, negated)`` when *expr* is an EXISTS / IN subquery
+    predicate under any number of NOTs; ``negated`` folds the NOTs and
+    the node's own flag together.  ``None`` for anything else."""
+    negated = False
+    while isinstance(expr, UnaryOp) and expr.op == "NOT":
+        negated = not negated
+        expr = expr.operand
+    if isinstance(expr, (Exists, InSubquery)):
+        return expr, negated != expr.negated
+    return None
+
+
+def split_subquery_filters(
+        where: Optional[Expr]) -> tuple[Optional[Expr], list[Expr]]:
+    """Split a WHERE into its other conjuncts and its top-level EXISTS /
+    IN subquery predicates.  The executor applies the latter as probe
+    filters after the former, and the planner shows each as its own
+    operator, so both must split the same way."""
+    rest: list[Expr] = []
+    probes: list[Expr] = []
+    for conjunct in conjuncts(where):
+        if subquery_predicate(conjunct) is None:
+            rest.append(conjunct)
+        else:
+            probes.append(conjunct)
+    return conjoin(rest), probes

@@ -37,7 +37,7 @@ class SubPlanLike(Protocol):
 
     def exists(self, outer_rows: Rows) -> bool: ...
 
-    def column_values(self, outer_rows: Rows) -> list[Any]: ...
+    def contains(self, value: Any, outer_rows: Rows) -> bool | None: ...
 
 
 class CompileContext:
@@ -303,7 +303,11 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
             return or_eval
         left = compile_expr(expr.left, scopes, ctx)
         right = compile_expr(expr.right, scopes, ctx)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
+        if op == "=":
+            return lambda rows: values_equal(left(rows), right(rows))
+        if op == "<>":
+            return lambda rows: not3(values_equal(left(rows), right(rows)))
+        if op in ("<", "<=", ">", ">="):
             return lambda rows: comparison(op, left(rows), right(rows))
         return lambda rows: arithmetic(op, left(rows), right(rows))
 
@@ -346,19 +350,19 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
 
     if isinstance(expr, ast.InSubquery):
         operand = compile_expr(expr.operand, scopes, ctx)
-        plan = ctx.subplan_factory(expr.query, scopes)
+        contains = ctx.subplan_factory(expr.query, scopes, "in").contains
 
         def in_subquery(rows: Rows) -> bool | None:
-            return membership(operand(rows), plan.column_values(rows))
+            return contains(operand(rows), rows)
         if expr.negated:
             return lambda rows: not3(in_subquery(rows))
         return in_subquery
 
     if isinstance(expr, ast.Exists):
-        plan = ctx.subplan_factory(expr.query, scopes)
+        exists = ctx.subplan_factory(expr.query, scopes, "exists").exists
         if expr.negated:
-            return lambda rows: not plan.exists(rows)
-        return lambda rows: plan.exists(rows)
+            return lambda rows: not exists(rows)
+        return exists
 
     if isinstance(expr, ast.ScalarSubquery):
         plan = ctx.subplan_factory(expr.query, scopes)
@@ -419,4 +423,12 @@ def compile_predicate(expr: ast.Expr, scopes: list[RowSchema],
                       ctx: CompileContext) -> Callable[[Rows], bool]:
     """Compile a WHERE/ON/HAVING predicate to a strict boolean test."""
     compiled = compile_expr(expr, scopes, ctx)
-    return lambda rows: is_true(_truth(compiled(rows)))
+
+    def predicate(rows: Rows) -> bool:
+        value = compiled(rows)
+        if value is True:
+            return True
+        if value is False or value is None:
+            return False
+        return is_true(_truth(value))  # raises for a non-boolean
+    return predicate

@@ -464,11 +464,20 @@ class Database:
             if not self.vectorized:
                 for node in planned.root.walk():
                     node.vectorized = False
-            if analyze:
+            # Compiling (without running) lets the executor label the
+            # operators it decides on, e.g. a decorrelated semi-join.
+            # Plain EXPLAIN still reports a query it cannot compile.
+            try:
                 plan = compile_query(planned.query, self.catalog,
                                      planned=planned,
                                      vectorize=self.vectorized)
-                planned.root.actual_rows = len(plan.run(()))
+            except RelationalError as exc:
+                if analyze:
+                    raise
+                planned.notes.append(f"not compiled: {exc}")
+            else:
+                if analyze:
+                    planned.root.actual_rows = len(plan.run(()))
         return planned
 
     # -- DML ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Query planning and execution.
 
 ``compile_query`` turns a SELECT AST into a :class:`QueryPlan` whose
-``run(outer_rows)`` produces result tuples.  Compilation happens once;
-correlated subqueries re-run the compiled plan per outer row, and
-uncorrelated subqueries are cached after their first execution.
+``run(outer_rows)`` produces result tuples.  Compilation happens once.
+EXISTS / IN subqueries with an equality key to the outer query (or an
+uncorrelated IN) run as hash semi-join probes over a build side that
+runs once; other correlated subqueries re-run the compiled plan per
+outer row, and uncorrelated ones are cached after their first
+execution.
 
 The physical operators are deliberately simple (hash joins when the ON
 clause has equi-conjuncts, nested loops otherwise; hash aggregation; sort
@@ -20,11 +23,11 @@ from . import ast
 from .batch import BATCH_SIZE, run_vector_aggregate
 from .catalog import Catalog
 from .compiler import (CompileContext, compile_expr, compile_predicate,
-                       resolve_column)
+                       membership, resolve_column)
 from .aggregates import AGGREGATE_NAMES, make_aggregate
-from .errors import (ExecutionError, NotSupportedError, SchemaError,
-                     UnknownColumnError)
-from .indexes import _normalize
+from .errors import (AmbiguousColumnError, ExecutionError,
+                     NotSupportedError, SchemaError, UnknownColumnError)
+from .indexes import _normalize, equi_key
 from .schema import ResultColumn, RowSchema
 from .table import Table, find_probe_index
 from .types import DataType, is_true, sort_key, values_equal
@@ -95,7 +98,10 @@ class QueryPlan:
 
 
 class SubPlan:
-    """A compiled subquery usable from WHERE/SELECT expressions."""
+    """A compiled subquery usable from WHERE/SELECT expressions: it
+    re-runs per outer row, or once when it is uncorrelated.  (An
+    eligible EXISTS / IN subquery compiles to a :class:`_SemiJoin`
+    instead.)"""
 
     def __init__(self, query: ast.SelectQuery, catalog: Catalog,
                  scopes: list[RowSchema], ctx: CompileContext) -> None:
@@ -128,11 +134,251 @@ class SubPlan:
     def exists(self, outer_rows: Rows) -> bool:
         return bool(self.rows(outer_rows))
 
-    def column_values(self, outer_rows: Rows) -> list[Any]:
+    def contains(self, value: Any, outer_rows: Rows) -> bool | None:
         if len(self.plan.schema) != 1:
             raise ExecutionError(
                 "IN subquery must return exactly one column")
-        return [row[0] for row in self.rows(outer_rows)]
+        return membership(value, [row[0] for row in self.rows(outer_rows)])
+
+
+class _Candidates:
+    """``x IN (...)`` against one non-empty candidate multiset, hashed:
+    the answer of :func:`~repro.relational.compiler.membership` without
+    the scan."""
+
+    __slots__ = ("keys", "has_null")
+
+    def __init__(self, values: list[Any]) -> None:
+        self.keys: set[tuple] = set()
+        self.has_null = False
+        for value in values:
+            key = equi_key((value,))
+            if key is not None:
+                self.keys.add(key)
+            elif value is None:
+                self.has_null = True  # a NaN candidate equals nothing
+
+    def test(self, value: Any) -> bool | None:
+        if value is None:
+            return None
+        if equi_key((value,)) in self.keys:  # NaN (None) never is
+            return True
+        return None if self.has_null else False
+
+
+class _SemiJoin:
+    """Hash semi-join probe for one decorrelated EXISTS / IN subquery.
+
+    The build side (the subquery's FROM and its inner-only conjuncts)
+    runs once, lazily on the first probe, into buckets keyed by
+    :func:`~repro.relational.indexes.equi_key` of the inner key
+    expressions.  A probe is a filter over the outer stream, not a
+    join, so outer row order and multiplicity never change: it looks up
+    the outer key's bucket and checks the residual only against that
+    bucket's rows.  Both answers are the per-row subquery's exact
+    three-valued ones.
+    """
+
+    def __init__(self, build_rows: Callable[[Rows], Iterator[tuple]],
+                 inner_keys: list[RowFn], outer_keys: list[RowFn],
+                 residual: Callable[[Rows], bool] | None,
+                 item: RowFn | None, detail: str,
+                 build_filter: ast.Expr | None) -> None:
+        self._build_rows = build_rows
+        self._inner_key = _key_function(inner_keys)
+        self._outer_key = _key_function(outer_keys)
+        self._residual = residual
+        self._item = item
+        #: EXPLAIN text: hash key, IN value and residual.
+        self.detail = detail
+        #: The inner-only conjuncts applied while building.
+        self.build_filter = build_filter
+        self._buckets: dict[tuple, Any] | None = None
+
+    def _build(self, outer_rows: Rows) -> dict[tuple, Any]:
+        buckets: dict[tuple, Any] = {}
+        inner_key = self._inner_key
+        for row in self._build_rows(outer_rows):
+            key = inner_key(outer_rows + (row,))
+            if key is not None:
+                buckets.setdefault(key, []).append(row)
+        item = self._item
+        if item is not None and self._residual is None:
+            # Every bucket row is a candidate: hash each bucket once.
+            buckets = {key: _Candidates([item(outer_rows + (row,))
+                                         for row in rows])
+                       for key, rows in buckets.items()}
+        self._buckets = buckets
+        return buckets
+
+    def _bucket(self, outer_rows: Rows) -> Any:
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._build(outer_rows)
+        # ``None`` (a NULL or NaN key) is never a bucket key.
+        return buckets.get(self._outer_key(outer_rows))
+
+    def exists(self, outer_rows: Rows) -> bool:
+        bucket = self._bucket(outer_rows)
+        if not bucket:
+            return False
+        residual = self._residual
+        if residual is None:
+            return True
+        for row in bucket:
+            if residual(outer_rows + (row,)):
+                return True
+        return False
+
+    def contains(self, value: Any, outer_rows: Rows) -> bool | None:
+        bucket = self._bucket(outer_rows)
+        if bucket is None:
+            return False  # no candidate at all, even for a NULL value
+        residual = self._residual
+        if residual is None:
+            return bucket.test(value)
+        candidates = []
+        for row in bucket:
+            scoped = outer_rows + (row,)
+            if residual(scoped):
+                candidates.append(self._item(scoped))
+        return membership(value, candidates)
+
+
+def _key_function(fns: list[RowFn]) -> Callable[[Rows], tuple | None]:
+    """``rows -> equi_key`` of the expressions' values."""
+    if not fns:
+        return lambda rows: ()
+    if len(fns) == 1:
+        fn = fns[0]
+        return lambda rows: equi_key((fn(rows),))
+    return lambda rows: equi_key([fn(rows) for fn in fns])
+
+
+def _scope_depths(expr: ast.Expr, scopes: list[RowSchema]) -> set[int] | None:
+    """The scope depths *expr*'s columns resolve to, or ``None`` when
+    that is not known statically (a nested subquery, or a name that
+    does not resolve — compiling it raises the real error)."""
+    depths: set[int] = set()
+    for node in ast.walk_expr(expr):
+        if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery,
+                             ast.SlotRef)):
+            return None
+        if isinstance(node, ast.ColumnRef):
+            try:
+                depths.add(resolve_column(node, scopes)[0])
+            except (UnknownColumnError, AmbiguousColumnError):
+                return None
+    return depths
+
+
+def _key_pair(conjunct: ast.Expr, scopes: list[RowSchema]
+              ) -> tuple[ast.Expr, ast.Expr] | None:
+    """``(inner_expr, outer_expr)`` when *conjunct* is ``inner = outer``
+    with inner_expr resolving only in the innermost scope and outer_expr
+    only in enclosing ones (innermost binding wins, so a name that
+    resolves inside is never outer)."""
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+        return None
+    inner = len(scopes) - 1
+    for inner_expr, outer_expr in ((conjunct.left, conjunct.right),
+                                   (conjunct.right, conjunct.left)):
+        inner_depths = _scope_depths(inner_expr, scopes)
+        outer_depths = _scope_depths(outer_expr, scopes)
+        if inner_depths == {inner} and outer_depths \
+                and max(outer_depths) < inner:
+            return inner_expr, outer_expr
+    return None
+
+
+def _compile_semi_join(query: ast.SelectQuery, catalog: Catalog,
+                       scopes: list[RowSchema], ctx: CompileContext,
+                       predicate: str) -> _SemiJoin | None:
+    """Decorrelate an EXISTS / IN subquery into a hash semi-join probe,
+    or return ``None`` to keep the per-row path.
+
+    Eligible: one plain core with a FROM and no GROUP BY, HAVING,
+    aggregate, ORDER BY, LIMIT or OFFSET, and either a WHERE conjunct
+    ``inner = outer`` (see :func:`_key_pair`) or, for IN, no
+    correlation at all.  The other conjuncts split into inner-only ones,
+    which filter the build side once (vectorized where they can be),
+    and a residual checked against each matching bucket row.
+    """
+    core = query.core
+    if query.is_compound or query.order_by or query.limit is not None \
+            or query.offset is not None or core.from_clause is None \
+            or core.group_by or core.having is not None \
+            or any(_contains_aggregate(item.expr) for item in core.items):
+        return None
+    item: ast.Expr | None = None
+    if predicate == "in":
+        if len(core.items) != 1 or core.items[0].is_star:
+            return None
+        item = core.items[0].expr
+    conjuncts = ast.conjuncts(core.where)
+    if item is None and not any(isinstance(conjunct, ast.BinaryOp)
+                                and conjunct.op == "="
+                                for conjunct in conjuncts):
+        return None
+
+    inner = len(scopes)
+    watcher = ctx.push_watcher()
+    try:
+        from_plan = _compile_from(core, catalog, scopes, ctx)
+        inner_scopes = scopes + [from_plan.schema]
+        keys: list[tuple[ast.Expr, ast.Expr]] = []
+        build: list[ast.Expr] = []
+        residual: list[ast.Expr] = []
+        for conjunct in conjuncts:
+            depths = _scope_depths(conjunct, inner_scopes)
+            if depths is not None and depths <= {inner}:
+                build.append(conjunct)
+                continue
+            pair = _key_pair(conjunct, inner_scopes)
+            if pair is not None:
+                keys.append(pair)
+            else:
+                residual.append(conjunct)
+        item_depths = (_scope_depths(item, inner_scopes)
+                       if item is not None else set())
+        if item_depths is None or not item_depths <= {inner}:
+            return None  # an IN value reading outer columns: per row
+        if not keys and (item is None or residual):
+            return None
+        build_filter = ast.conjoin(build)
+        build_rows, _batch = _compile_input(core, build_filter, from_plan,
+                                            inner_scopes, catalog, ctx)
+    finally:
+        ctx.pop_watcher()
+    if any(depth < inner for depth in watcher):
+        return None  # a derived table in FROM reads outer columns
+
+    residual_expr = ast.conjoin(residual)
+    residual_fn = (compile_predicate(residual_expr, inner_scopes, ctx)
+                   if residual_expr is not None else None)
+    item_fn = None
+    if item is not None:
+        item_fn = compile_expr(item, inner_scopes, ctx)
+    else:
+        # EXISTS ignores its select list, which must still compile.
+        for select_item, star in _expand_items(core.items, from_plan.schema):
+            if star is None:
+                compile_expr(select_item.expr, inner_scopes, ctx)
+    parts = []
+    if keys:
+        parts.append("hash key: " + ", ".join(
+            f"{render_expr(inner_expr)} = {render_expr(outer_expr)}"
+            for inner_expr, outer_expr in keys))
+    if item is not None:
+        parts.append(f"IN value: {render_expr(item)}")
+    if residual_expr is not None:
+        parts.append(f"residual: {render_expr(residual_expr)}")
+    return _SemiJoin(
+        build_rows,
+        [compile_expr(inner_expr, inner_scopes, ctx)
+         for inner_expr, _outer in keys],
+        [compile_expr(outer_expr, scopes, ctx) for _inner, outer_expr in keys],
+        residual_fn, item_fn, "; ".join(parts), build_filter)
 
 
 def _make_context(catalog: Catalog, planned=None, vectorize: bool = True,
@@ -141,11 +387,42 @@ def _make_context(catalog: Catalog, planned=None, vectorize: bool = True,
                          planned=planned, vectorize=vectorize,
                          exec_hooks=exec_hooks)
 
-    def factory(query: ast.SelectQuery, scopes: list[RowSchema]) -> SubPlan:
-        return SubPlan(query, catalog, scopes, ctx)
+    def factory(query: ast.SelectQuery, scopes: list[RowSchema],
+                predicate: str | None = None) -> "SubPlan | _SemiJoin":
+        plan = None
+        if predicate is not None:
+            plan = _compile_semi_join(query, catalog, scopes, ctx, predicate)
+        if plan is None:
+            plan = SubPlan(query, catalog, scopes, ctx)
+        node = ctx.plan_node(query)
+        if node is not None:
+            _label_probe(node, query, plan, ctx)
+        return plan
 
     ctx.subplan_factory = factory
     return ctx
+
+
+def _label_probe(node, query: ast.SelectQuery, plan: "SubPlan | _SemiJoin",
+                 ctx: CompileContext) -> None:
+    """Record on the planner's probe operator how it runs."""
+    if isinstance(plan, SubPlan):
+        node.kind = "filter"
+        node.detail = ("subquery per row" if plan.correlated
+                       else "subquery once")
+        return
+    node.detail = plan.detail
+    # The planner traced the subquery's whole WHERE as a filter over its
+    # FROM; the build side only applies the inner-only conjuncts.
+    traced = ctx.plan_node(query.core)
+    for index, child in enumerate(node.children):
+        if child is traced:
+            if plan.build_filter is None:
+                node.children[index:index + 1] = traced.children
+            else:
+                traced.label = "build WHERE"
+                traced.detail = render_expr(plan.build_filter)
+            break
 
 
 def _counted(run: Callable[[Rows], Iterator[tuple]],
@@ -367,7 +644,7 @@ def _compile_join(join: ast.Join, catalog: Catalog,
                     key_rows = outer_rows + (left_row,)
                     values = [fn(key_rows) for fn in left_keys]
                     matched = False
-                    if not any(value is None for value in values):
+                    if equi_key(values) is not None:
                         key = tuple(values[i] for i in covered)
                         for row_id in sorted(index.lookup(key)):
                             right_row = probe_table.row(row_id)
@@ -389,16 +666,15 @@ def _compile_join(join: ast.Join, catalog: Catalog,
             buckets: dict[tuple, list[tuple]] = {}
             for right_row in right.run(outer_rows):
                 key_rows = outer_rows + (right_row,)
-                values = [fn(key_rows) for fn in right_keys]
-                if any(value is None for value in values):
-                    continue  # NULL never matches in an equi-join
-                buckets.setdefault(_norm_tuple(values), []).append(right_row)
+                key = equi_key([fn(key_rows) for fn in right_keys])
+                if key is not None:  # NULL and NaN never match
+                    buckets.setdefault(key, []).append(right_row)
             for left_row in left.run(outer_rows):
                 key_rows = outer_rows + (left_row,)
-                values = [fn(key_rows) for fn in left_keys]
+                key = equi_key([fn(key_rows) for fn in left_keys])
                 matched = False
-                if not any(value is None for value in values):
-                    for right_row in buckets.get(_norm_tuple(values), ()):
+                if key is not None:
+                    for right_row in buckets.get(key, ()):
                         combined_row = left_row + right_row
                         if residual_fn is None or residual_fn(
                                 outer_rows + (combined_row,)):
@@ -775,19 +1051,46 @@ def compile_core(core: ast.SelectCore, catalog: Catalog,
                  outer_scopes: list[RowSchema], ctx: CompileContext,
                  order_by: list[ast.OrderItem] | None = None) -> QueryPlan:
     order_by = order_by or []
-    if core.from_clause is not None:
-        _collect_bindings(core.from_clause, set())
-        from_plan = compile_table_expr(
-            core.from_clause, catalog, outer_scopes, ctx)
-    else:
-        from_plan = FromPlan(RowSchema([]),
-                             lambda outer_rows: iter([()]))
+    from_plan = _compile_from(core, catalog, outer_scopes, ctx)
     scopes = outer_scopes + [from_plan.schema]
+    where_expr, probes = ast.split_subquery_filters(core.where)
+    input_rows, batch = _compile_input(core, where_expr, from_plan, scopes,
+                                       catalog, ctx)
+    if probes:
+        input_rows, batch = _probe_filters(probes, input_rows, batch,
+                                           scopes, ctx)
 
+    has_aggregate = bool(core.group_by) or core.having is not None \
+        or any(_contains_aggregate(item.expr) for item in core.items) \
+        or any(_contains_aggregate(item.expr) for item in order_by)
+
+    if has_aggregate:
+        return _compile_aggregate_core(
+            core, order_by, from_plan, scopes, input_rows, ctx,
+            len(outer_scopes), batch)
+    return _compile_plain_core(
+        core, order_by, from_plan, scopes, input_rows, ctx, batch)
+
+
+def _compile_from(core: ast.SelectCore, catalog: Catalog,
+                  outer_scopes: list[RowSchema],
+                  ctx: CompileContext) -> FromPlan:
+    if core.from_clause is None:
+        return FromPlan(RowSchema([]), lambda outer_rows: iter([()]))
+    _collect_bindings(core.from_clause, set())
+    return compile_table_expr(core.from_clause, catalog, outer_scopes, ctx)
+
+
+def _compile_input(core: ast.SelectCore, where_expr: ast.Expr | None,
+                   from_plan: FromPlan, scopes: list[RowSchema],
+                   catalog: Catalog, ctx: CompileContext
+                   ) -> tuple[Callable[[Rows], Iterator[tuple]],
+                              "_VectorInput | None"]:
+    """The core's FROM rows filtered by *where_expr*: a row stream, plus
+    the batch input when the scan is vectorized."""
     # WHERE, with a single-table index fast path for equality conjuncts.
     where_fn: Callable[[Rows], bool] | None = None
     index_probe: tuple[Any, RowFn] | None = None
-    where_expr = core.where
     if where_expr is not None and isinstance(core.from_clause, ast.TableRef):
         table = catalog.table(core.from_clause.name)
         remaining = []
@@ -823,7 +1126,6 @@ def compile_core(core: ast.SelectCore, catalog: Catalog,
     # and nothing better (an index point probe) applies.  WHERE conjuncts
     # compile to mask kernels where possible; the rest stay on the row
     # path as a residual predicate over the surviving batches.
-    batch: _VectorInput | None = None
     if ctx.vectorize and index_probe is None \
             and isinstance(core.from_clause, ast.TableRef):
         scan_table = catalog.table(core.from_clause.name)
@@ -831,45 +1133,78 @@ def compile_core(core: ast.SelectCore, catalog: Catalog,
             batch, _residual = _build_vector_input(
                 core, scan_table, where_expr, scopes, ctx)
 
-    if batch is not None:
-        def input_rows(outer_rows: Rows) -> Iterator[tuple]:
-            for chunk in batch.row_chunks(outer_rows):
-                yield from chunk
-    else:
-        if where_expr is not None:
-            where_fn = compile_predicate(where_expr, scopes, ctx)
+            def batch_rows(outer_rows: Rows) -> Iterator[tuple]:
+                for chunk in batch.row_chunks(outer_rows):
+                    yield from chunk
+            return batch_rows, batch
 
-        def input_rows(outer_rows: Rows) -> Iterator[tuple]:
-            if index_probe is not None:
-                index, value_fn = index_probe
-                row_ids = index.lookup((value_fn(outer_rows),))
-                source: Iterable[tuple] = [probe_table.row(row_id)
-                                           for row_id in sorted(row_ids)]
+    if where_expr is not None:
+        where_fn = compile_predicate(where_expr, scopes, ctx)
+
+    def input_rows(outer_rows: Rows) -> Iterator[tuple]:
+        if index_probe is not None:
+            index, value_fn = index_probe
+            row_ids = index.lookup((value_fn(outer_rows),))
+            source: Iterable[tuple] = [probe_table.row(row_id)
+                                       for row_id in sorted(row_ids)]
+        else:
+            source = from_plan.run(outer_rows)
+        if where_fn is None:
+            yield from source
+        else:
+            for row in source:
+                if where_fn(outer_rows + (row,)):
+                    yield row
+
+    # Batch generators count their own rows (they bypass this
+    # per-row wrapper); see _build_vector_input.
+    core_counter = ctx.counter_for(core)
+    if core_counter is not None:
+        input_rows = _counted(input_rows, core_counter)
+    return input_rows, None
+
+
+def _probe_filters(probes: list[ast.Expr],
+                   input_rows: Callable[[Rows], Iterator[tuple]],
+                   batch: "_VectorInput | None",
+                   scopes: list[RowSchema], ctx: CompileContext):
+    """Apply a WHERE's EXISTS / IN subquery predicates as filters over
+    the input stream, after its other conjuncts, each counting the rows
+    it passes for EXPLAIN ANALYZE (the planner's probe operator)."""
+    tests = [(compile_predicate(conjunct, scopes, ctx),
+              ctx.counter_for(ast.subquery_predicate(conjunct)[0].query))
+             for conjunct in probes]
+
+    def keep(outer_rows: Rows, rows: Iterable[tuple]) -> Iterator[tuple]:
+        for row in rows:
+            scoped = outer_rows + (row,)
+            for test, counter in tests:
+                if not test(scoped):
+                    break
+                if counter is not None:
+                    counter.count(1)
             else:
-                source = from_plan.run(outer_rows)
-            if where_fn is None:
-                yield from source
-            else:
-                for row in source:
-                    if where_fn(outer_rows + (row,)):
-                        yield row
+                yield row
 
-        # Batch generators count their own rows (they bypass this
-        # per-row wrapper); see _build_vector_input.
-        core_counter = ctx.counter_for(core)
-        if core_counter is not None:
-            input_rows = _counted(input_rows, core_counter)
+    if batch is None:
+        return (lambda outer_rows: keep(outer_rows, input_rows(outer_rows)),
+                None)
+    for conjunct in probes:
+        ctx.note_fallback(render_expr(conjunct),
+                          fallback_reason(conjunct, lambda ref: None))
+    base_chunks = batch.row_chunks
 
-    has_aggregate = bool(core.group_by) or core.having is not None \
-        or any(_contains_aggregate(item.expr) for item in core.items) \
-        or any(_contains_aggregate(item.expr) for item in order_by)
+    def row_chunks(outer_rows: Rows) -> Iterator[list]:
+        for chunk in base_chunks(outer_rows):
+            kept = list(keep(outer_rows, chunk))
+            if kept:
+                yield kept
 
-    if has_aggregate:
-        return _compile_aggregate_core(
-            core, order_by, from_plan, scopes, input_rows, ctx,
-            len(outer_scopes), batch)
-    return _compile_plain_core(
-        core, order_by, from_plan, scopes, input_rows, ctx, batch)
+    def rows(outer_rows: Rows) -> Iterator[tuple]:
+        for chunk in row_chunks(outer_rows):
+            yield from chunk
+    # The probes run on row tuples, so there are no column batches.
+    return rows, _VectorInput(row_chunks, None)
 
 
 def _output_schema(expanded, from_schema: RowSchema) -> RowSchema:

@@ -8,7 +8,8 @@ Two index kinds are provided:
   with bisection (a stand-in for a B-tree; adequate at in-memory scale).
 
 Both map *key tuples* to sets of row ids; NULL-containing keys are never
-indexed (SQL indexes skip NULL keys for uniqueness purposes).
+indexed (SQL indexes skip NULL keys for uniqueness purposes), and a hash
+index skips NaN keys too, since ``NaN = NaN`` is never true.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import bisect
 from typing import Any, Iterable, Iterator
 
 from .errors import ConstraintViolation
+
+
+#: Exact-type fast path of :func:`_normalize` (subclasses take the
+#: ``isinstance`` chain).
+_TAGS = {str: "s", int: "n", float: "n", bool: "b"}
 
 
 def _normalize(value: Any) -> Any:
@@ -31,6 +37,9 @@ def _normalize(value: Any) -> Any:
     to a dedicated marker so composite keys round-trip NULLs distinctly
     from any storable value (indexes still never *index* NULL keys).
     """
+    tag = _TAGS.get(type(value))
+    if tag is not None:
+        return (tag, value)
     if value is None:
         return ("null",)
     if isinstance(value, bool):
@@ -40,6 +49,24 @@ def _normalize(value: Any) -> Any:
     if isinstance(value, str):
         return ("s", value)
     return ("o", value)
+
+
+def equi_key(values: Iterable[Any]) -> tuple | None:
+    """The hash key under which *values* can equal another key, or
+    ``None`` when they never can: ``=`` is never true for a NULL
+    component, and ``values_equal`` is never true for NaN.
+
+    Hash joins, index probes, hash indexes and the semi-join probe all
+    bucket through this one helper.  A bare ``_normalize`` tuple is not
+    enough: dict lookup compares by identity first, so one NaN object
+    would match itself although ``NaN = NaN`` is false.
+    """
+    key = []
+    for value in values:
+        if value is None or value != value:  # only NaN differs from itself
+            return None
+        key.append(_normalize(value))
+    return tuple(key)
 
 
 class HashIndex:
@@ -56,9 +83,7 @@ class HashIndex:
         self._buckets: dict[tuple, set[int]] = {}
 
     def _key(self, values: tuple) -> tuple | None:
-        if any(value is None for value in values):
-            return None
-        return tuple(_normalize(value) for value in values)
+        return equi_key(values)
 
     def insert(self, row_id: int, values: tuple) -> None:
         key = self._key(values)
