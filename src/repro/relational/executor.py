@@ -302,7 +302,11 @@ def _compile_semi_join(query: ast.SelectQuery, catalog: Catalog,
     ``inner = outer`` (see :func:`_key_pair`) or, for IN, no
     correlation at all.  The other conjuncts split into inner-only ones,
     which filter the build side once (vectorized where they can be),
-    and a residual checked against each matching bucket row.
+    and a residual checked against each matching bucket row.  So the
+    inner-only conjuncts see every build row: one that raises (say,
+    division by zero) on a row no outer key reaches raises here, where
+    the per-row path could short-circuit on the key first — SQL leaves
+    conjunct evaluation order unspecified.
     """
     core = query.core
     if query.is_compound or query.order_by or query.limit is not None \
