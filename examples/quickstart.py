@@ -46,7 +46,8 @@ def main() -> None:
     print("Enriched result:")
     print(outcome.result.format_table())
     print("\nSPARQL the SQM generated: ", outcome.sparql_queries[0])
-    print("Final SQL the JoinManager issued:", outcome.final_sqls[0])
+    print("Final SQL of the combine (Fig. 6, rendered, not executed):",
+          outcome.final_sqls[0])
 
 
 if __name__ == "__main__":

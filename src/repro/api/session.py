@@ -226,12 +226,10 @@ class Session:
             return None
 
     def execute(self, text: str, params=None,
-                include_original: bool | None = None,
-                join_strategy: str | None = None) -> SESQLResult:
+                include_original: bool | None = None) -> SESQLResult:
         """Run one SESQL query (goes through the plan cache)."""
         return self.prepare(text).execute(
-            params, include_original=include_original,
-            join_strategy=join_strategy)
+            params, include_original=include_original)
 
     def query(self, text: str, params=None) -> ResultSet:
         """Execute and return just the enriched result rows."""
@@ -239,7 +237,6 @@ class Session:
 
     def stream(self, text: str, params=None, *,
                include_original: bool | None = None,
-               join_strategy: str | None = None,
                page_size: int = 256):
         """Run one SESQL query lazily, returning a streaming
         :class:`~repro.relational.Cursor`.
@@ -252,7 +249,7 @@ class Session:
         """
         return self.prepare(text).stream(
             params, include_original=include_original,
-            join_strategy=join_strategy, page_size=page_size)
+            page_size=page_size)
 
     def execute_many(self, text: str, param_rows) -> list[SESQLResult]:
         """Execute the statement once per parameter row (single parse)."""
@@ -268,25 +265,20 @@ class Session:
 
     # -- prepared-query internals ------------------------------------------------
 
-    def _overrides(self, overrides: dict) -> tuple[bool | None, str | None]:
+    def _include_original(self, include: bool | None) -> bool | None:
         """Per-call > session options > engine defaults (None = defer)."""
-        include = overrides.get("include_original")
-        if include is None:
-            include = self.options.include_original
-        strategy = overrides.get("join_strategy") \
-            or self.options.join_strategy
-        return include, strategy
+        return self.options.include_original if include is None else include
 
     def _execute_prepared(self, prepared: PreparedQuery, params,
-                          overrides: dict) -> SESQLResult:
+                          include_original: bool | None) -> SESQLResult:
         self._check_open()
-        include, strategy = self._overrides(overrides)
+        include = self._include_original(include_original)
         enriched = prepared.bind(params)
         tel = self.telemetry
         if tel is None:
             outcome = self.engine.execute_parsed(
                 enriched, knowledge_base=self._current_kb(),
-                include_original=include, join_strategy=strategy,
+                include_original=include,
                 reuse_ast=True)  # bind() already produced a private copy
             if self._on_result is not None:
                 self._on_result(outcome)
@@ -300,8 +292,7 @@ class Session:
                     cached=prepared.from_cache)
                 outcome = self.engine.execute_parsed(
                     enriched, knowledge_base=self._current_kb(),
-                    include_original=include, join_strategy=strategy,
-                    reuse_ast=True)
+                    include_original=include, reuse_ast=True)
                 # Observer runs inside the root span: a context-feed's
                 # journaled writes (and any snapshot they trigger) are
                 # attributed to the query that caused them.
@@ -323,9 +314,10 @@ class Session:
         return outcome
 
     def _stream_prepared(self, prepared: PreparedQuery, params,
-                         overrides: dict, page_size: int = 256):
+                         include_original: bool | None,
+                         page_size: int = 256):
         self._check_open()
-        include, strategy = self._overrides(overrides)
+        include = self._include_original(include_original)
         enriched = prepared.bind(params)
         tel = self.telemetry
         # Streamed executions bypass the on_result observer: the result
@@ -333,8 +325,8 @@ class Session:
         if tel is None:
             return self.engine.stream_parsed(
                 enriched, knowledge_base=self._current_kb(),
-                include_original=include, join_strategy=strategy,
-                reuse_ast=True, page_size=page_size)
+                include_original=include, reuse_ast=True,
+                page_size=page_size)
         root = tel.tracer.start_root(
             "sesql.stream", statement=prepared.text)
         try:
@@ -344,8 +336,8 @@ class Session:
                     cached=prepared.from_cache)
                 inner = self.engine.stream_parsed(
                     enriched, knowledge_base=self._current_kb(),
-                    include_original=include, join_strategy=strategy,
-                    reuse_ast=True, page_size=page_size)
+                    include_original=include, reuse_ast=True,
+                    page_size=page_size)
         except BaseException as exc:
             root.finish(error=exc)
             self._last_trace = root
@@ -392,11 +384,10 @@ class Session:
     def _explain_prepared(self, prepared: PreparedQuery, params,
                           analyze: bool = False) -> QueryPlan:
         self._check_open()
-        include, strategy = self._overrides({})
         engine = self.engine
+        include = self.options.include_original
         if include is None:
             include = engine.include_original
-        strategy = strategy or engine.join_strategy
         enriched = prepared.bind(params)
         kb = self._current_kb()
         cache = engine.sqm.cache
@@ -463,13 +454,12 @@ class Session:
         if select_enrichments:
             stages.append(PlanStage(
                 "combine", f"JoinManager folds {len(select_enrichments)} "
-                f"SELECT enrichment(s) [{strategy} strategy]"))
+                "SELECT enrichment(s)"))
 
         return QueryPlan(
             statement=prepared.text,
             base_sql=enriched.sql_text,
             rewritten_sql=rewritten_sql,
-            join_strategy=strategy,
             stages=stages,
             sparql_queries=sparql_queries,
             cache_hits=(cache.hits - hits_before
@@ -529,7 +519,6 @@ class PlatformSession:
             mapping=platform.mapping,
             stored_queries=platform._registry_for(username),
             include_original=bool(self.options.include_original),
-            join_strategy=self.options.join_strategy or "tempdb",
             extraction_cache=ExtractionCache(
                 self.options.extraction_cache_size),
         )
@@ -635,7 +624,7 @@ def connect(source, options: QueryOptions | None = None,
     ``session.telemetry``.  For a CroSSE platform, pass telemetry to
     the :class:`~repro.crosse.CrossePlatform` constructor instead.
 
-    Keyword overrides (``join_strategy="direct"``, ...) build a
+    Keyword overrides (``include_original=True``, ...) build a
     :class:`QueryOptions` on the fly.
     """
     if option_overrides:
@@ -665,7 +654,6 @@ def connect(source, options: QueryOptions | None = None,
             source, knowledge_base=knowledge_base, mapping=mapping,
             stored_queries=stored_queries,
             include_original=bool(resolved.include_original),
-            join_strategy=resolved.join_strategy or "tempdb",
             extraction_cache=ExtractionCache(
                 resolved.extraction_cache_size))
         session = Session(engine, resolved)

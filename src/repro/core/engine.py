@@ -10,8 +10,9 @@
    injected next to the databank tables, and the (rewritten) SQL query
    executes on the databank;
 4. the **JoinManager** combines the base result with each SELECT
-   enrichment through the temporary support database, issuing the final
-   SQL query that yields the enriched result.
+   enrichment by a hash probe of the extraction, and renders the
+   paper's final SQL query (a LEFT JOIN over the two partials) that
+   describes the same combine.
 
 The pipeline is factored into *resumable stages* so the session layer
 (:mod:`repro.api`) can drive them independently: ``execute_parsed``
@@ -93,6 +94,12 @@ class SESQLEngine:
                  include_original: bool = False,
                  join_strategy: str = "tempdb",
                  extraction_cache=None) -> None:
+        # The combine has one implementation; the keyword survives for
+        # callers written when "tempdb" (the only value accepted) was
+        # one of two strategies.
+        if join_strategy != "tempdb":
+            raise EnrichmentError(
+                f"unknown join strategy {join_strategy!r}")
         self.databank = databank
         # Explicit None check: an *empty* TripleStore is falsy but must be
         # kept — the caller may populate it after constructing the engine.
@@ -101,7 +108,6 @@ class SESQLEngine:
         self.mapping = mapping or ResourceMapping()
         self.stored_queries = stored_queries or StoredQueryRegistry()
         self.include_original = include_original
-        self.join_strategy = join_strategy
         self.sqp = SemanticQueryParser()
         self.sqm = SemanticQueryModule(self.mapping, self.stored_queries,
                                        cache=extraction_cache)
@@ -230,24 +236,21 @@ class SESQLEngine:
 
     def combine_enrichments(self, base: ResultSet,
                             plan: list[tuple[Enrichment, Extraction]],
-                            join_strategy: str,
                             final_sqls: list[str]) -> ResultSet:
         """JoinManager pass: fold each SELECT enrichment into the result."""
-        join_manager = JoinManager(self.mapping, join_strategy)
+        join_manager = JoinManager(self.mapping)
         current = base
         for enrichment, extraction in plan:
             outcome = join_manager.combine(current, enrichment, extraction)
             current = outcome.result
-            if outcome.final_sql is not None:
-                final_sqls.append(outcome.final_sql)
+            final_sqls.append(outcome.final_sql)
         return current
 
     # -- the full pipeline ---------------------------------------------------------
 
     def execute(self, text: str,
                 knowledge_base: TripleStore | None = None,
-                include_original: bool | None = None,
-                join_strategy: str | None = None) -> SESQLResult:
+                include_original: bool | None = None) -> SESQLResult:
         """Run a SESQL query; per-call arguments override engine defaults."""
         started = time.perf_counter()
         enriched = self.sqp.parse(text)
@@ -256,13 +259,12 @@ class SESQLEngine:
         # stage may mutate it directly (reuse_ast=True).
         return self.execute_parsed(
             enriched, knowledge_base=knowledge_base,
-            include_original=include_original, join_strategy=join_strategy,
-            reuse_ast=True, parse_time=parse_time)
+            include_original=include_original, reuse_ast=True,
+            parse_time=parse_time)
 
     def execute_parsed(self, enriched: EnrichedQuery,
                        knowledge_base: TripleStore | None = None,
                        include_original: bool | None = None,
-                       join_strategy: str | None = None,
                        reuse_ast: bool = False,
                        parse_time: float = 0.0) -> SESQLResult:
         """Run stages 2-4 on an already-parsed (e.g. prepared) query.
@@ -275,7 +277,6 @@ class SESQLEngine:
             else self.knowledge_base
         include = (self.include_original if include_original is None
                    else include_original)
-        strategy = join_strategy or self.join_strategy
         if not reuse_ast:
             enriched = clone_enriched(enriched)
 
@@ -315,11 +316,10 @@ class SESQLEngine:
             rewriter.cleanup()
 
         stage = time.perf_counter()
-        with (tel.span("sesql.combine", strategy=strategy)
-              if tel is not None else _NOOP):
+        with (tel.span("sesql.combine") if tel is not None else _NOOP):
             select_plan = self.extraction_plan(enriched, kb, "select", memo)
             sparql_queries.extend(x.sparql for _e, x in select_plan)
-            current = self.combine_enrichments(base, select_plan, strategy,
+            current = self.combine_enrichments(base, select_plan,
                                                final_sqls)
         timings["combine"] = time.perf_counter() - stage
         timings["total"] = parse_time + time.perf_counter() - started
@@ -354,7 +354,6 @@ class SESQLEngine:
     def stream(self, text: str,
                knowledge_base: TripleStore | None = None,
                include_original: bool | None = None,
-               join_strategy: str | None = None,
                page_size: int = 256) -> Cursor:
         """Run a SESQL query lazily, returning a :class:`Cursor`.
 
@@ -366,13 +365,12 @@ class SESQLEngine:
         enriched = self.sqp.parse(text)
         return self.stream_parsed(
             enriched, knowledge_base=knowledge_base,
-            include_original=include_original, join_strategy=join_strategy,
-            reuse_ast=True, page_size=page_size)
+            include_original=include_original, reuse_ast=True,
+            page_size=page_size)
 
     def stream_parsed(self, enriched: EnrichedQuery,
                       knowledge_base: TripleStore | None = None,
                       include_original: bool | None = None,
-                      join_strategy: str | None = None,
                       reuse_ast: bool = False,
                       page_size: int = 256) -> Cursor:
         """Streaming counterpart of :meth:`execute_parsed`.
@@ -392,7 +390,6 @@ class SESQLEngine:
             else self.knowledge_base
         include = (self.include_original if include_original is None
                    else include_original)
-        strategy = join_strategy or self.join_strategy
         if not reuse_ast:
             enriched = clone_enriched(enriched)
 
@@ -417,10 +414,9 @@ class SESQLEngine:
                 select_plan = self.extraction_plan(enriched, kb, "select",
                                                    memo)
             # Extraction-side combine structures are built ONCE per
-            # cursor and applied page after page (hash-probe semantics
-            # identical to the tempdb final-SQL LEFT JOIN, whatever the
-            # configured strategy).
-            join_manager = JoinManager(self.mapping, strategy)
+            # cursor and applied page after page — the same hash probe
+            # ``execute`` uses, so streamed rows equal executed ones.
+            join_manager = JoinManager(self.mapping)
             combiners = [join_manager.prepare(enrichment, extraction)
                          for enrichment, extraction in select_plan]
             base_columns = list(base_cursor.columns)

@@ -1,19 +1,18 @@
 """The JoinManager of Fig. 6: combines relational and ontological partials.
 
 For the four SELECT-affecting enrichments, the base SQL result and the
-SPARQL extraction are combined into the enriched result.  Two strategies
-are provided:
+SPARQL extraction are combined into the enriched result by a hash probe
+of the extraction: one output row per (input row, matching object)
+pair, with NULL/false padding when the knowledge base has nothing to
+say (so enrichment never drops rows).  Base values and extraction
+objects pass through untouched.
 
-* ``tempdb`` (paper-faithful): both partials are materialised as
-  temporary tables in the temporary support database and a *final SQL
-  query* — LEFT JOIN shaped — produces the result.  The generated SQL is
-  returned for observability.
-* ``direct`` (ablation, used by benchmark E6): a Python-side hash join
-  that skips materialisation.
-
-Both strategies implement the same semantics: one output row per
-(input row, matching object) pair, with NULL/false padding when the
-knowledge base has nothing to say (so enrichment never drops rows).
+In the paper, the JoinManager stores both partials as temporary tables
+and runs a LEFT JOIN *final SQL query* over them.  That query is still
+built by :func:`final_query` and returned rendered
+(``CombineOutcome.final_sql``) for observability, but it is never
+executed: the hash combine yields the same rows without materializing
+either partial.
 """
 
 from __future__ import annotations
@@ -29,15 +28,17 @@ from .ast import (BoolSchemaExtension, BoolSchemaReplacement, Enrichment,
 from .errors import EnrichmentError
 from .mapping import ResourceMapping
 from .sqm import Extraction
-from .tempdb import TemporarySupportDatabase
 
-STRATEGIES = ("tempdb", "direct")
+#: Table names the rendered final SQL refers to the partials by.
+BASE_TABLE = "__sesql_base"
+MAP_TABLE = "__sesql_map"
+FLAGS_TABLE = "__sesql_flags"
 
 
 @dataclass
 class CombineOutcome:
     result: ResultSet
-    final_sql: str | None  # None for the direct strategy
+    final_sql: str  # the paper's final SQL, rendered, not executed
 
 
 def clean_name(raw: str) -> str:
@@ -87,6 +88,39 @@ def output_columns(base_columns: list[str], attr_index: int,
     else:
         columns.append(name)
     return columns
+
+
+def final_query(base_columns: list[str], attr: str, new_column: str,
+                replace: bool, flags: bool, base_table: str,
+                partial_table: str) -> sql_ast.SelectQuery:
+    """The paper's final SQL: the base LEFT JOINed to the partial.
+
+    Both tables are laid out as :func:`~repro.core.tempdb.materialize`
+    stores them: the base's columns as ``c0..cN``, the extraction
+    partial's subject as ``c0`` (and object as ``c1`` for pairs).  The
+    enriched item is the partial's object, or — for the boolean
+    enrichments, whose partial holds distinct subjects — whether the
+    subject matched.
+    """
+    attr_index = find_attr_index(base_columns, attr)
+    columns = output_columns(base_columns, attr_index, new_column, replace)
+    enriched = (sql_ast.IsNull(sql_ast.ColumnRef("c0", "m"), negated=True)
+                if flags else sql_ast.ColumnRef("c1", "m"))
+    items = [sql_ast.SelectItem(
+                 enriched if replace and index == attr_index
+                 else sql_ast.ColumnRef(f"c{index}", "b"),
+                 alias=columns[index])
+             for index in range(len(base_columns))]
+    if not replace:
+        items.append(sql_ast.SelectItem(enriched, alias=columns[-1]))
+    join = sql_ast.Join(
+        "LEFT",
+        sql_ast.TableRef(base_table, "b"),
+        sql_ast.TableRef(partial_table, "m"),
+        sql_ast.BinaryOp("=", sql_ast.ColumnRef(f"c{attr_index}", "b"),
+                         sql_ast.ColumnRef("c0", "m")))
+    return sql_ast.SelectQuery(
+        core=sql_ast.SelectCore(items=items, from_clause=join))
 
 
 class PreparedPairCombine:
@@ -158,12 +192,8 @@ class PreparedFlagCombine:
 class JoinManager:
     """Combines base results with extractions per enrichment clause."""
 
-    def __init__(self, mapping: ResourceMapping,
-                 strategy: str = "tempdb") -> None:
-        if strategy not in STRATEGIES:
-            raise EnrichmentError(f"unknown join strategy {strategy!r}")
+    def __init__(self, mapping: ResourceMapping) -> None:
         self.mapping = mapping
-        self.strategy = strategy
 
     # -- extraction conversion (the single source of truth) ------------------
 
@@ -209,109 +239,11 @@ class JoinManager:
 
     def combine(self, base: ResultSet, enrichment: Enrichment,
                 extraction: Extraction) -> CombineOutcome:
-        if self.strategy == "direct":
-            prepared = self.prepare(enrichment, extraction)
-            return CombineOutcome(prepared.combine(base), None)
-        new_column = self._new_column_for(enrichment)
-        if isinstance(enrichment, (SchemaExtension, SchemaReplacement)):
-            return self._tempdb_pairs(
-                base, find_attr_index(base.columns, enrichment.attr),
-                self._pair_values(extraction), new_column,
-                isinstance(enrichment, SchemaReplacement))
-        if isinstance(enrichment, (BoolSchemaExtension,
-                                   BoolSchemaReplacement)):
-            return self._tempdb_flags(
-                base, enrichment.attr, self._subject_values(extraction),
-                new_column, isinstance(enrichment, BoolSchemaReplacement))
-        raise EnrichmentError(
-            f"{enrichment.kind} is not a SELECT-clause enrichment")
-
-    # -- tempdb strategy (paper-faithful final SQL) ------------------------------
-
-    def _tempdb_pairs(self, base: ResultSet, attr_index: int,
-                      pairs: list[tuple], new_column: str,
-                      replace: bool) -> CombineOutcome:
-        tempdb = TemporarySupportDatabase()
-        try:
-            t_base = tempdb.store_result(base.columns, base.rows)
-            t_map = tempdb.store_pairs(pairs)
-            columns = output_columns(base.columns, attr_index,
-                                     new_column, replace)
-            items: list[sql_ast.SelectItem] = []
-            output_index = 0
-            for index, internal in enumerate(t_base.internal_columns):
-                if replace and index == attr_index:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef("c1", "m"),
-                        alias=columns[output_index]))
-                else:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef(internal, "b"),
-                        alias=columns[output_index]))
-                output_index += 1
-            if not replace:
-                items.append(sql_ast.SelectItem(
-                    sql_ast.ColumnRef("c1", "m"), alias=columns[-1]))
-            join = sql_ast.Join(
-                "LEFT",
-                sql_ast.TableRef(t_base.name, "b"),
-                sql_ast.TableRef(t_map.name, "m"),
-                sql_ast.BinaryOp(
-                    "=",
-                    sql_ast.ColumnRef(
-                        t_base.internal_columns[attr_index], "b"),
-                    sql_ast.ColumnRef("c0", "m")))
-            query = sql_ast.SelectQuery(
-                core=sql_ast.SelectCore(items=items, from_clause=join))
-            final_sql = render_query(query)
-            result = tempdb.db.execute_ast(query)
-            return CombineOutcome(ResultSet(columns, result.rows), final_sql)
-        finally:
-            tempdb.cleanup()
-
-    # -- boolean enrichments -----------------------------------------------------------
-
-    def _tempdb_flags(self, base: ResultSet, attr: str,
-                      subjects: set, new_column: str,
-                      replace: bool) -> CombineOutcome:
-        attr_index = find_attr_index(base.columns, attr)
-        tempdb = TemporarySupportDatabase()
-        try:
-            t_base = tempdb.store_result(base.columns, base.rows)
-            t_flag = tempdb.store_values(sorted(
-                (s for s in subjects if s is not None),
-                key=lambda v: str(v)), hint="flags")
-            columns = output_columns(base.columns, attr_index,
-                                     new_column, replace)
-            flag_expr = sql_ast.IsNull(
-                sql_ast.ColumnRef("c0", "m"), negated=True)
-            items = []
-            output_index = 0
-            for index, internal in enumerate(t_base.internal_columns):
-                if replace and index == attr_index:
-                    items.append(sql_ast.SelectItem(
-                        flag_expr, alias=columns[output_index]))
-                else:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef(internal, "b"),
-                        alias=columns[output_index]))
-                output_index += 1
-            if not replace:
-                items.append(sql_ast.SelectItem(flag_expr,
-                                                alias=columns[-1]))
-            join = sql_ast.Join(
-                "LEFT",
-                sql_ast.TableRef(t_base.name, "b"),
-                sql_ast.TableRef(t_flag.name, "m"),
-                sql_ast.BinaryOp(
-                    "=",
-                    sql_ast.ColumnRef(
-                        t_base.internal_columns[attr_index], "b"),
-                    sql_ast.ColumnRef("c0", "m")))
-            query = sql_ast.SelectQuery(
-                core=sql_ast.SelectCore(items=items, from_clause=join))
-            final_sql = render_query(query)
-            result = tempdb.db.execute_ast(query)
-            return CombineOutcome(ResultSet(columns, result.rows), final_sql)
-        finally:
-            tempdb.cleanup()
+        """Fold one enrichment into *base*; also render its final SQL."""
+        prepared = self.prepare(enrichment, extraction)
+        result = prepared.combine(base)
+        flags = isinstance(prepared, PreparedFlagCombine)
+        query = final_query(base.columns, prepared.attr,
+                            prepared.new_column, prepared.replace, flags,
+                            BASE_TABLE, FLAGS_TABLE if flags else MAP_TABLE)
+        return CombineOutcome(result, render_query(query))

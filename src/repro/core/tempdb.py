@@ -1,10 +1,15 @@
 """The temporary support database of Fig. 6.
 
 Partial results (the base SQL result and the SPARQL extraction) are
-materialised as temporary tables on which the final SQL query runs.
-Column *display* names are kept separate from the internal storage
-names (``c0``, ``c1``, ...) so duplicate output names — legal in SQL
-results — never collide in the temp schema.
+materialised as temporary tables.  The WHERE rewrite materializes its
+extractions next to the databank tables; a
+:class:`TemporarySupportDatabase` holds both partials of a SELECT
+enrichment, so the paper's final SQL
+(:func:`repro.core.join_manager.final_query`) can run over them as the
+reference for the JoinManager's hash combine.  Column *display* names
+are kept separate from the internal storage names (``c0``, ``c1``, ...)
+so duplicate output names — legal in SQL results — never collide in
+the temp schema.
 """
 
 from __future__ import annotations

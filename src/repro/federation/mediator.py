@@ -742,8 +742,7 @@ class MediatorSession:
         stages.append(PlanStage(
             "sql", "scratch database executes the global query", [sql]))
         plan = QueryPlan(
-            statement=sql, base_sql=sql, rewritten_sql=sql,
-            join_strategy="mediation", stages=stages,
+            statement=sql, base_sql=sql, rewritten_sql=sql, stages=stages,
             cache_hits=hits, cache_misses=misses)
         if statement is not None:
             try:

@@ -64,7 +64,7 @@ def test_connect_rejects_inapplicable_kwargs(db, kb):
         repro.connect(engine, knowledge_base=TripleStore())
     mediator = Mediator()
     with pytest.raises(SessionError):
-        repro.connect(mediator, join_strategy="direct")
+        repro.connect(mediator, include_original=True)
 
 
 def test_connect_matches_direct_engine_execution(session, db, kb):
@@ -245,7 +245,6 @@ def test_explain_reports_stages_without_running(session, db):
     assert len(plan.sparql_queries) == 2
     assert "dangerLevel" in plan.sparql_queries[0]
     assert "IN (SELECT" in plan.rewritten_sql   # the WHERE rewrite fired
-    assert plan.join_strategy == "tempdb"
     assert set(db.table_names()) == tables_before  # temp tables cleaned
     assert "plan for:" in plan.format()
 
@@ -368,7 +367,7 @@ def test_invalidation_is_lazy(platform):
 def test_custom_options_session_is_independent_and_invalidated(platform):
     from repro.api import QueryOptions
     shared = platform.connect()
-    custom = platform.connect(QueryOptions(join_strategy="direct"))
+    custom = platform.connect(QueryOptions(include_original=True))
     assert custom is not shared
     assert platform.connect() is shared  # defaults untouched by custom
     custom.as_user("giulia")  # warm the custom session's engine

@@ -48,24 +48,6 @@ def test_empty_kb_pads_with_nulls(engine):
     assert len(result.rows) == 3  # enrichment never drops rows
 
 
-def test_direct_and_tempdb_strategies_agree(engine):
-    sesql = """
-        SELECT elem_name, amount FROM elem_contained
-        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"""
-    via_tempdb = engine.query(sesql, join_strategy="tempdb")
-    via_direct = engine.query(sesql, join_strategy="direct")
-    assert via_tempdb.columns == via_direct.columns
-    assert via_tempdb.same_rows(via_direct)
-
-
-def test_direct_strategy_produces_no_final_sql(engine):
-    outcome = engine.execute("""
-        SELECT elem_name FROM elem_contained
-        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)""",
-        join_strategy="direct")
-    assert outcome.final_sqls == []
-
-
 def test_multiple_select_enrichments_compose(engine):
     result = engine.query("""
         SELECT elem_name FROM elem_contained WHERE landfill_name = 'a'
@@ -129,9 +111,12 @@ def test_enrich_with_order_by_and_limit(engine):
     assert [row[0] for row in result.rows] == ["Iron", "Mercury", "Mercury"]
 
 
-def test_join_manager_rejects_bad_strategy():
-    with pytest.raises(EnrichmentError):
-        JoinManager(ResourceMapping(), strategy="quantum")
+def test_engine_accepts_only_the_tempdb_join_strategy():
+    db = Database()
+    SESQLEngine(db, join_strategy="tempdb")
+    for strategy in ("direct", "quantum"):
+        with pytest.raises(EnrichmentError):
+            SESQLEngine(db, join_strategy=strategy)
 
 
 def test_join_manager_rejects_where_enrichment():

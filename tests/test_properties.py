@@ -278,15 +278,15 @@ pair_lists = st.lists(
     max_size=10)
 
 
-@given(subjects, pair_lists, st.sampled_from(["tempdb", "direct"]))
+@given(subjects, pair_lists)
 @settings(max_examples=30, deadline=None)
-def test_extension_row_count_invariant(values, pairs, strategy):
+def test_extension_row_count_invariant(values, pairs):
     """Each base row yields max(1, matches) output rows; none are lost."""
     base = ResultSet(["elem"], [(value,) for value in values])
     mapping = ResourceMapping()
     extraction = Extraction("", pairs=[
         (mapping.to_term("elem", s), Literal(o)) for s, o in pairs])
-    manager = JoinManager(mapping, strategy)
+    manager = JoinManager(mapping)
     outcome = manager.combine(base, SchemaExtension("elem", "p"),
                               extraction)
     match_counts = {}
@@ -298,16 +298,14 @@ def test_extension_row_count_invariant(values, pairs, strategy):
     assert set(produced_subjects) == set(values)
 
 
-@given(subjects, st.sets(st.sampled_from(["Hg", "Pb", "Fe"])),
-       st.sampled_from(["tempdb", "direct"]))
+@given(subjects, st.sets(st.sampled_from(["Hg", "Pb", "Fe"])))
 @settings(max_examples=30, deadline=None)
-def test_boolean_extension_preserves_rows_exactly(values, flagged,
-                                                  strategy):
+def test_boolean_extension_preserves_rows_exactly(values, flagged):
     base = ResultSet(["elem"], [(value,) for value in values])
     mapping = ResourceMapping()
     extraction = Extraction("", subjects={
         mapping.to_term("elem", s) for s in flagged})
-    manager = JoinManager(mapping, strategy)
+    manager = JoinManager(mapping)
     outcome = manager.combine(
         base, BoolSchemaExtension("elem", "isA", "Hazard"), extraction)
     assert len(outcome.result.rows) == len(values)

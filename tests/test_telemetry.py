@@ -648,12 +648,15 @@ class TestCrossThreadParenting:
         assert root is not None
         # The query's context-feed append tripped snapshot_every; the
         # background thread attaches its span to this root explicitly.
+        # The span is adopted when it opens, before the snapshot has
+        # observed its metrics, so wait until it has closed.
         deadline = time.time() + 5.0
-        while root.find("durability.snapshot") is None \
-                and time.time() < deadline:
-            time.sleep(0.01)
         snap = root.find("durability.snapshot")
+        while (snap is None or snap.open) and time.time() < deadline:
+            time.sleep(0.01)
+            snap = root.find("durability.snapshot")
         assert snap is not None, "snapshot span never parented under root"
+        assert not snap.open, "snapshot span never closed"
         assert not platform.durability.snapshot_errors
         # The main thread's context never leaked.
         assert platform.telemetry.tracer.current() is None
