@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import (EnrichmentError, JoinManager, ResourceMapping,
-                        SESQLEngine)
+                        SESQLEngine, TemporarySupportDatabase)
+from repro.core.join_manager import BASE_TABLE, MAP_TABLE
 from repro.core.sqm import Extraction
 from repro.core.ast import SchemaExtension
 from repro.rdf import Namespace, TripleStore, parse_turtle
@@ -46,6 +47,48 @@ def test_empty_kb_pads_with_nulls(engine):
         knowledge_base=TripleStore())
     assert all(row[1] is None for row in result.rows)
     assert len(result.rows) == 3  # enrichment never drops rows
+
+
+def test_direct_and_tempdb_strategies_agree(engine):
+    """The hash combine returns what the paper's tempdb execution would:
+    the reported final SQL, run over both partials materialized in a
+    temporary support database."""
+    outcome = engine.execute("""
+        SELECT elem_name, amount FROM elem_contained
+        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)""")
+    base = engine.databank.execute(
+        "SELECT elem_name, amount FROM elem_contained")
+    pairs = [("Mercury", "high"), ("Mercury", "extreme"), ("Iron", "low")]
+    tempdb = TemporarySupportDatabase()
+    try:
+        t_base = tempdb.store_result(base.columns, base.rows)
+        t_map = tempdb.store_pairs(pairs)
+        [final_sql] = outcome.final_sqls
+        via_tempdb = tempdb.db.execute(
+            final_sql.replace(BASE_TABLE, t_base.name)
+                     .replace(MAP_TABLE, t_map.name))
+    finally:
+        tempdb.cleanup()
+    assert via_tempdb.columns == outcome.result.columns
+    assert via_tempdb.same_rows(outcome.result)
+
+
+def test_direct_strategy_produces_no_final_sql(engine, monkeypatch):
+    """The hash combine executes no final SQL: nothing is materialized,
+    and the Fig. 6 query is only rendered into ``final_sqls``."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the SELECT combine materialized a partial")
+
+    for method in ("store_result", "store_pairs", "store_values"):
+        monkeypatch.setattr(TemporarySupportDatabase, method, refuse)
+    before = set(engine.databank.table_names())
+    outcome = engine.execute("""
+        SELECT elem_name FROM elem_contained
+        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)""")
+    assert len(outcome.result.rows) == 5
+    assert set(engine.databank.table_names()) == before
+    [final_sql] = outcome.final_sqls
+    assert "LEFT JOIN" in final_sql
 
 
 def test_multiple_select_enrichments_compose(engine):
